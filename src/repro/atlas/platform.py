@@ -248,23 +248,13 @@ class AtlasPlatform:
         )
         telemetry = self.telemetry
         if telemetry.enabled:
-            registry = telemetry.registry
-            registry.counter(
-                "measurement_queries_total",
-                "measured queries, by answering NS address and site",
-                ("ns", "site"),
-            ).labels(ns=result.final_address or "none", site=site or "none").inc()
+            metrics = telemetry.instruments
+            site = site or "none"
+            metrics.measurements.labels(result.final_address or "none", site).inc()
             if result.rtt_ms is not None:
-                registry.histogram(
-                    "measurement_rtt_ms",
-                    "RTT of the final answering exchange (ms)",
-                    ("site",),
-                ).labels(site=site or "none").observe(result.rtt_ms)
+                metrics.measurement_rtt.labels(site).observe(result.rtt_ms)
             if not result.succeeded:
-                registry.counter(
-                    "measurement_failures_total",
-                    "measurements with no successful answer",
-                ).inc()
+                metrics.measurement_failures.labels().inc()
             telemetry.profiler.count("observations")
 
     def measure(

@@ -40,6 +40,11 @@ _INTERN: dict[tuple[bytes, ...], "Name"] = {}
 _INTERN_MAX = 4096
 
 
+#: the bytes a label may hold and still print as itself: 0x21-0x7E
+#: except the two that need a backslash.
+_PLAIN = bytes(byte for byte in range(0x21, 0x7F) if byte not in _ESCAPED)
+
+
 def _escape_label(label: bytes) -> str:
     """Render one label in presentation format, escaping special bytes."""
     out: list[str] = []
@@ -277,9 +282,16 @@ class Name:
     # -- conversions ----------------------------------------------------
 
     def to_text(self) -> str:
-        if not self._labels:
+        labels = self._labels
+        if not labels:
             return "."
-        return ".".join(_escape_label(label) for label in self._labels) + "."
+        joined = b".".join(labels)
+        # Deleting the plain bytes leaves the separators and anything
+        # that needs escaping; only separators left means every label
+        # prints as itself.
+        if len(joined.translate(None, _PLAIN)) == len(labels) - 1:
+            return joined.decode("ascii") + "."
+        return ".".join(_escape_label(label) for label in labels) + "."
 
     def to_wire(
         self,

@@ -57,6 +57,7 @@ class _ResponseTemplate:
     question_tail: bytes  # qtype + qclass, 4 bytes
     tail: bytes  # everything after the question section
     rcode: Rcode
+    rcode_name: str  # the rcode as spans and metrics label it
     log_rrtype: RRType
 
 #: default query-log capacity — high enough that no tracked experiment
@@ -170,7 +171,8 @@ class AuthoritativeServer:
     telemetry:
         Optional :class:`repro.telemetry.Telemetry`; when enabled the
         engine exports per-server query/response counters and joins
-        query-lifecycle traces with ``auth.query`` spans.
+        query-lifecycle traces with ``auth.query`` spans, on the
+        template fast path and the full decode path alike.
     """
 
     def __init__(
@@ -246,22 +248,19 @@ class AuthoritativeServer:
         min(advertised, 4096) for EDNS clients; larger answers are
         truncated with the TC bit set (the client then retries over TCP).
 
-        When no rate limiter, no telemetry, and no per-instance query
-        dispatch are active, a template fast path may answer without
-        decoding the query into a :class:`Message` at all; its output is
-        byte-identical to the slow path (see :class:`_ResponseTemplate`).
+        When no rate limiter and no per-instance query dispatch are
+        active, a template fast path may answer without decoding the
+        query into a :class:`Message` at all.  Its output is
+        byte-identical to the slow path (see :class:`_ResponseTemplate`),
+        and so is what it records: stats, query log, and — with
+        telemetry attached — the same ``auth.query`` span and
+        ``authoritative_*`` counters.  Traced and untraced servers take
+        this one path.
         """
-        # Cost ledger (deterministic counters; not a telemetry pillar
-        # for `enabled` purposes, so the template fast path below stays
-        # live while it counts).
         costs = self.telemetry.costs
         costs_on = costs.enabled
         fast = None
-        if (
-            self.rate_limiter is None
-            and not self.telemetry.enabled
-            and "handle_query" not in self.__dict__
-        ):
+        if self.rate_limiter is None and "handle_query" not in self.__dict__:
             fast = self._parse_fast_query(wire)
             if fast is not None:
                 rendered = self._render_from_template(fast, client, now)
@@ -358,15 +357,15 @@ class AuthoritativeServer:
     ) -> Message:
         """Produce the authoritative response for one query message.
 
-        With telemetry enabled this opens an ``auth.query`` span — when
+        With tracing enabled this opens an ``auth.query`` span — when
         the query arrived through an instrumented :class:`SimNetwork`
         the span nests under that exchange's ``net.round_trip``.
         """
-        telemetry = self.telemetry
-        if not telemetry.enabled:
+        tracer = self.telemetry.tracer
+        if not tracer.enabled:
             return self._handle_query(query, client, now)
         qname = query.questions[0].name.to_text() if query.questions else ""
-        span = telemetry.tracer.start_span(
+        span = tracer.start_span(
             "auth.query", at=now, server=self.server_id, client=client, qname=qname
         )
         try:
@@ -374,7 +373,7 @@ class AuthoritativeServer:
             span.set(rcode=getattr(response.rcode, "name", str(response.rcode)))
             return response
         finally:
-            telemetry.tracer.finish_span(span, at=now)
+            tracer.finish_span(span, at=now)
 
     def _handle_query(
         self, query: Message, client: str = "", now: float = 0.0
@@ -463,29 +462,20 @@ class AuthoritativeServer:
                     rcode=response.rcode,
                 )
             )
-        telemetry = self.telemetry
-        if telemetry.enabled:
-            registry = telemetry.registry
-            registry.counter(
-                "authoritative_queries_total",
-                "queries received, by authoritative instance",
-                ("server",),
-            ).labels(server=self.server_id).inc()
-            registry.counter(
-                "authoritative_responses_total",
-                "responses sent, by authoritative instance and rcode",
-                ("server", "rcode"),
-            ).labels(
-                server=self.server_id,
-                rcode=getattr(response.rcode, "name", str(response.rcode)),
-            ).inc()
-            if dropped:
-                registry.counter(
-                    "authoritative_query_log_dropped_total",
-                    "query-log entries evicted by the ring buffer",
-                    ("server",),
-                ).labels(server=self.server_id).inc()
+        if self.telemetry.enabled:
+            self._count_response(
+                getattr(response.rcode, "name", str(response.rcode)), dropped
+            )
         return response
+
+    def _count_response(self, rcode_name: str, dropped: bool) -> None:
+        """The ``authoritative_*`` counters for one answered query."""
+        instruments = self.telemetry.instruments
+        server = self.server_id
+        instruments.auth_queries.labels(server).inc()
+        instruments.auth_responses.labels(server, rcode_name).inc()
+        if dropped:
+            instruments.auth_log_dropped.labels(server).inc()
 
     # -- response-template fast path ---------------------------------------
 
@@ -636,13 +626,15 @@ class AuthoritativeServer:
         out += qname_wire
         out += entry.question_tail
         out += entry.tail
-        # Bookkeeping identical to _handle_query/_finish for this branch.
-        self.stats.queries += 1
+        # Bookkeeping identical to handle_query/_finish for this branch.
+        stats = self.stats
+        stats.queries += 1
         if entry.rcode == Rcode.NXDOMAIN:
-            self.stats.nxdomain += 1
-        self.stats.responses += 1
+            stats.nxdomain += 1
+        stats.responses += 1
+        dropped = False
         if self.log_queries:
-            self.query_log.append(
+            dropped = self.query_log.append(
                 QueryLogEntry(
                     timestamp=now,
                     client=client,
@@ -651,6 +643,20 @@ class AuthoritativeServer:
                     rcode=entry.rcode,
                 )
             )
+        telemetry = self.telemetry
+        if telemetry.enabled:
+            tracer = telemetry.tracer
+            if tracer.enabled:
+                # handle_query's span, opened and closed at one instant.
+                tracer.finish_span(
+                    tracer.start_span(
+                        "auth.query", at=now, server=self.server_id,
+                        client=client, qname=qname.to_text(),
+                        rcode=entry.rcode_name,
+                    ),
+                    at=now,
+                )
+            self._count_response(entry.rcode_name, dropped)
         return bytes(out)
 
     def _maybe_build_template(self, fast, wire_out: bytes) -> None:
@@ -708,6 +714,7 @@ class AuthoritativeServer:
             return  # tail depends on the qname: not cachable
         if len(self._templates) >= self._TEMPLATE_MAX:
             self._templates.clear()
+        rcode = Rcode(wire_out[3] & 0x0F)
         self._templates[key] = _ResponseTemplate(
             zone=zone,
             zone_version=zone.version,
@@ -715,7 +722,8 @@ class AuthoritativeServer:
             header_tail=wire_out[2:12],
             question_tail=wire_out[question_end - 4:question_end],
             tail=wire_out[question_end:],
-            rcode=Rcode(wire_out[3] & 0x0F),
+            rcode=rcode,
+            rcode_name=rcode.name,
             log_rrtype=log_rrtype,
         )
 

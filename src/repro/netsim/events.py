@@ -44,14 +44,9 @@ class EventScheduler(EventKernel):
             return False
         telemetry = self.telemetry
         if telemetry.enabled:
-            registry = telemetry.registry
-            registry.counter(
-                "sim_events_processed_total",
-                "discrete events executed by the scheduler",
-            ).inc()
-            registry.gauge(
-                "sim_events_pending", "events waiting in the scheduler queue"
-            ).set(self.pending)
+            metrics = telemetry.instruments
+            metrics.events_processed.labels().inc()
+            metrics.events_pending.labels().set(self.pending)
         return True
 
     def run_until(self, timestamp: float) -> int:

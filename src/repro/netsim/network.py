@@ -266,55 +266,15 @@ class SimNetwork:
 
         now = self.clock.now
         tracer = telemetry.tracer
-        registry = telemetry.registry
         span = tracer.start_span(
             "net.round_trip", at=now, client=client_address, dst=dst_address
         )
         try:
-            (
-                lost, rtt_ms, handler, code, fault_drop, is_anycast, latency_fault,
-            ) = self.sample_path(client_location, client_address, dst_address)
-            if fault_drop == "ns_outage":
-                span.set(lost=True, fault="ns_outage")
-                span.event("fault_outage", at=now)
-                registry.counter(
-                    "sim_fault_drops_total",
-                    "round trips dropped by an injected fault",
-                    ("dst", "fault"),
-                ).labels(dst=dst_address, fault="ns_outage").inc()
-                return RoundTrip(response=None, rtt_ms=None, lost=True, served_by="")
-            span.set(site=code)
-            if is_anycast:
-                span.event("anycast_catchment", at=now, site=code)
+            fate = self.sample_path(client_location, client_address, dst_address)
+            self._record_fate(span, now, dst_address, fate)
+            lost, rtt_ms, handler, code = fate[:4]
             if lost:
-                span.set(lost=True)
-                span.event("loss", at=now)
-                if fault_drop is not None:
-                    span.set(fault=fault_drop)
-                    registry.counter(
-                        "sim_fault_drops_total",
-                        "round trips dropped by an injected fault",
-                        ("dst", "fault"),
-                    ).labels(dst=dst_address, fault=fault_drop).inc()
-                else:
-                    registry.counter(
-                        "sim_lost_total",
-                        "round trips lost in the simulated network",
-                        ("dst",),
-                    ).labels(dst=dst_address).inc()
                 return RoundTrip(response=None, rtt_ms=None, lost=True, served_by="")
-            if latency_fault:
-                span.set(fault="latency")
-            span.set(lost=False, rtt_ms=round(rtt_ms, 3))
-            span.event("rtt_draw", at=now, rtt_ms=round(rtt_ms, 3))
-            registry.counter(
-                "sim_round_trips_total",
-                "query/response exchanges delivered, by destination and site",
-                ("dst", "site"),
-            ).labels(dst=dst_address, site=code).inc()
-            registry.histogram(
-                "sim_rtt_ms", "sampled round-trip time (ms)", ("site",)
-            ).labels(site=code).observe(rtt_ms)
             response = handler(payload, client_address, now)
             span.set(answered=response is not None)
             return RoundTrip(
@@ -326,6 +286,40 @@ class SimNetwork:
             if isinstance(rtt, (int, float)):
                 end = now + rtt / 1000.0
             tracer.finish_span(span, at=end)
+
+    def _record_fate(self, span, at: float, dst_address: str, fate: tuple) -> None:
+        """Span attributes, span events and counters for one
+        :meth:`sample_path` result.
+
+        Shared by :meth:`round_trip` and :meth:`transmit`, so both
+        engines record an exchange identically.
+        """
+        lost, rtt_ms, _handler, code, fault_drop, is_anycast, latency_fault = fate
+        metrics = self.telemetry.instruments
+        if fault_drop == "ns_outage":
+            span.set(lost=True, fault="ns_outage")
+            span.event("fault_outage", at=at)
+            metrics.fault_drops.labels(dst_address, "ns_outage").inc()
+            return
+        span.set(site=code)
+        if is_anycast:
+            span.event("anycast_catchment", at=at, site=code)
+        if lost:
+            span.set(lost=True)
+            span.event("loss", at=at)
+            if fault_drop is not None:
+                span.set(fault=fault_drop)
+                metrics.fault_drops.labels(dst_address, fault_drop).inc()
+            else:
+                metrics.lost.labels(dst_address).inc()
+            return
+        if latency_fault:
+            span.set(fault="latency")
+        rounded = round(rtt_ms, 3)
+        span.set(lost=False, rtt_ms=rounded)
+        span.event("rtt_draw", at=at, rtt_ms=rounded)
+        metrics.round_trips.labels(dst_address, code).inc()
+        metrics.rtt.labels(code).observe(rtt_ms)
 
     def transmit(
         self,
@@ -387,63 +381,21 @@ class SimNetwork:
             return
 
         tracer = telemetry.tracer
-        registry = telemetry.registry
         span = tracer.start_span(
             "net.round_trip", at=send_time, parent=parent,
             client=client_address, dst=dst_address,
         )
         try:
-            (
-                lost, rtt_ms, handler, code, fault_drop, is_anycast, latency_fault,
-            ) = self.sample_path(client_location, client_address, dst_address)
+            fate = self.sample_path(client_location, client_address, dst_address)
         except Exception:
             tracer.finish_span(span, at=send_time)
             raise
-        if fault_drop == "ns_outage":
-            span.set(lost=True, fault="ns_outage")
-            span.event("fault_outage", at=send_time)
-            registry.counter(
-                "sim_fault_drops_total",
-                "round trips dropped by an injected fault",
-                ("dst", "fault"),
-            ).labels(dst=dst_address, fault="ns_outage").inc()
-            tracer.finish_span(span, at=send_time)
-            on_result(RoundTrip(response=None, rtt_ms=None, lost=True, served_by=""))
-            return
-        span.set(site=code)
-        if is_anycast:
-            span.event("anycast_catchment", at=send_time, site=code)
+        self._record_fate(span, send_time, dst_address, fate)
+        lost, rtt_ms, handler, code = fate[:4]
         if lost:
-            span.set(lost=True)
-            span.event("loss", at=send_time)
-            if fault_drop is not None:
-                span.set(fault=fault_drop)
-                registry.counter(
-                    "sim_fault_drops_total",
-                    "round trips dropped by an injected fault",
-                    ("dst", "fault"),
-                ).labels(dst=dst_address, fault=fault_drop).inc()
-            else:
-                registry.counter(
-                    "sim_lost_total",
-                    "round trips lost in the simulated network",
-                    ("dst",),
-                ).labels(dst=dst_address).inc()
             tracer.finish_span(span, at=send_time)
             on_result(RoundTrip(response=None, rtt_ms=None, lost=True, served_by=""))
             return
-        if latency_fault:
-            span.set(fault="latency")
-        span.set(lost=False, rtt_ms=round(rtt_ms, 3))
-        span.event("rtt_draw", at=send_time, rtt_ms=round(rtt_ms, 3))
-        registry.counter(
-            "sim_round_trips_total",
-            "query/response exchanges delivered, by destination and site",
-            ("dst", "site"),
-        ).labels(dst=dst_address, site=code).inc()
-        registry.histogram(
-            "sim_rtt_ms", "sampled round-trip time (ms)", ("site",)
-        ).labels(site=code).observe(rtt_ms)
 
         def deliver():
             tracer.activate(span)

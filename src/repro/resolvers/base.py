@@ -53,11 +53,9 @@ class ServerSelector(abc.ABC):
         """Fold a successful exchange into the selector's state."""
         cache.observe_rtt(address, rtt_ms, now)
         if self.telemetry.enabled:
-            self.telemetry.registry.counter(
-                "selector_events_total",
-                "selection-feedback events, by selector family and kind",
-                ("selector", "event"),
-            ).labels(selector=self.name, event="response").inc()
+            self.telemetry.instruments.selector_events.labels(
+                self.name, "response"
+            ).inc()
 
     def on_timeout(
         self,
@@ -69,11 +67,9 @@ class ServerSelector(abc.ABC):
         """Fold a timeout into the selector's state."""
         cache.observe_timeout(address, now)
         if self.telemetry.enabled:
-            self.telemetry.registry.counter(
-                "selector_events_total",
-                "selection-feedback events, by selector family and kind",
-                ("selector", "event"),
-            ).labels(selector=self.name, event="timeout").inc()
+            self.telemetry.instruments.selector_events.labels(
+                self.name, "timeout"
+            ).inc()
 
     def reset(self) -> None:
         """Forget per-zone transient state (not the infra cache)."""

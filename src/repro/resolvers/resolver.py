@@ -74,7 +74,7 @@ class ResolutionResult:
     #: ``len(exchanges)`` whenever exchange recording is on.
     attempts: int = 0
     #: per-exchange records — populated only when the resolver's
-    #: ``record_exchanges`` is on (telemetry/ledger active, or forced).
+    #: ``record_exchanges`` is on (an explicit opt-in).
     exchanges: list[ExchangeRecord] = field(default_factory=list)
     from_cache: bool = False
     #: glueless-NS sub-resolutions spawned by this client query (all
@@ -110,7 +110,7 @@ class RecursiveResolver:
         qname_minimization: bool = False,
         case_randomization: bool = False,
         telemetry=None,
-        record_exchanges: bool | None = None,
+        record_exchanges: bool = False,
         max_fetch: int | None = None,
         max_fetch_per_delegation: int | None = None,
     ):
@@ -128,14 +128,9 @@ class RecursiveResolver:
         self.infra_cache = InfrastructureCache(ttl_s=infra_ttl_s)
         self.record_cache = RecordCache()
         self.record_cache.bind_clock(network.clock)
-        # Per-exchange ExchangeRecord allocation is opt-in: campaigns
-        # only need the attempt *count* unless telemetry or the cost
-        # ledger wants the full exchange detail.  ``None`` auto-gates on
-        # those pillars; tests and tools can force it on explicitly.
-        if record_exchanges is None:
-            record_exchanges = (
-                self.telemetry.enabled or self.telemetry.costs.enabled
-            )
+        # Per-exchange ExchangeRecord allocation is an explicit opt-in:
+        # campaigns only need the attempt *count*, and attaching
+        # observers must not change what the resolver allocates.
         self.record_exchanges = record_exchanges
         self.timeout_ms = timeout_ms
         self.max_retries = max_retries
@@ -218,47 +213,45 @@ class RecursiveResolver:
             costs.count("query")
         if not telemetry.enabled:
             return self._resolve(qname, qtype, rrclass, NULL_SPAN)
-        tracer = telemetry.tracer
-        start = self.network.clock.now
-        span = tracer.start_span(
+        span = self._open_resolve_span(qname, qtype, self.network.clock.now)
+        try:
+            result = self._resolve(qname, qtype, rrclass, span)
+        except BaseException:
+            self._finish_resolve_span(span)
+            raise
+        self._emit_resolution_metrics(result, span)
+        return result
+
+    def _open_resolve_span(self, qname: Name, qtype: RRType, at: float, **parent):
+        """The ``resolver.resolve`` root span (``NULL_SPAN`` untraced).
+
+        The sync engine nests it by the tracer's stack; the event
+        engine passes ``parent=None``.  The qname is rendered to text
+        only when a tracer will keep it.
+        """
+        tracer = self.telemetry.tracer
+        if not tracer.enabled:
+            return NULL_SPAN
+        return tracer.start_span(
             "resolver.resolve",
-            at=start,
+            at=at,
+            **parent,
             resolver=self.address,
             qname=qname.to_text(),
             qtype=getattr(qtype, "name", str(int(qtype))),
         )
-        try:
-            result = self._resolve(qname, qtype, rrclass, span)
-            rcode = (
-                getattr(result.rcode, "name", str(result.rcode))
-                if result.rcode is not None
-                else "NONE"
-            )
-            span.set(rcode=rcode, site=result.served_by)
-            registry = telemetry.registry
-            registry.counter(
-                "resolver_queries_total", "resolutions attempted by recursives"
-            ).inc()
-            registry.counter(
-                "resolver_resolutions_total",
-                "completed resolutions, by outcome rcode",
-                ("rcode",),
-            ).labels(rcode=rcode).inc()
-            cache_outcome = str(span.attributes.get("cache", "miss"))
-            registry.counter(
-                "resolver_cache_total",
-                "record-cache outcomes per resolution",
-                ("result",),
-            ).labels(result=cache_outcome).inc()
-            return result
-        finally:
-            # Virtual end: the latest child end (exchanges carry the RTT
-            # and timeout waits); the clock itself does not advance.
-            end = max(
-                [child.end for child in span.children if child.end is not None]
-                + [start]
-            )
-            tracer.finish_span(span, at=end)
+
+    def _finish_resolve_span(self, span) -> None:
+        """Close the root span at its virtual end: the latest child end
+        (exchanges carry the RTT and timeout waits)."""
+        tracer = self.telemetry.tracer
+        if not tracer.enabled:
+            return
+        end = max(
+            [child.end for child in span.children if child.end is not None]
+            + [span.start]
+        )
+        tracer.finish_span(span, at=end)
 
     def _resolution_prologue(
         self,
@@ -472,18 +465,9 @@ class RecursiveResolver:
         costs = telemetry.costs
         if costs.enabled:
             costs.count("query")
-        span = NULL_SPAN
-        if telemetry.enabled:
-            # Explicit parent: interleaved resolutions would corrupt the
-            # tracer's active-span stack, so event-path spans never use it.
-            span = telemetry.tracer.start_span(
-                "resolver.resolve",
-                at=kernel.now,
-                parent=None,
-                resolver=self.address,
-                qname=qname.to_text(),
-                qtype=getattr(qtype, "name", str(int(qtype))),
-            )
+        # Explicit parent: interleaved resolutions would corrupt the
+        # tracer's active-span stack, so event-path spans never use it.
+        span = self._open_resolve_span(qname, qtype, kernel.now, parent=None)
         result = ResolutionResult(qname=qname, qtype=qtype)
         state = _EventResolution(self, kernel, qname, qtype, done, span, result)
         start = self._resolution_prologue(qname, qtype, rrclass, span, result)
@@ -495,33 +479,17 @@ class RecursiveResolver:
 
     def _emit_resolution_metrics(self, result: ResolutionResult, span) -> None:
         """Completion-side counters + root-span close, one per resolution."""
-        telemetry = self.telemetry
         rcode = (
             getattr(result.rcode, "name", str(result.rcode))
             if result.rcode is not None
             else "NONE"
         )
         span.set(rcode=rcode, site=result.served_by)
-        registry = telemetry.registry
-        registry.counter(
-            "resolver_queries_total", "resolutions attempted by recursives"
-        ).inc()
-        registry.counter(
-            "resolver_resolutions_total",
-            "completed resolutions, by outcome rcode",
-            ("rcode",),
-        ).labels(rcode=rcode).inc()
-        cache_outcome = str(span.attributes.get("cache", "miss"))
-        registry.counter(
-            "resolver_cache_total",
-            "record-cache outcomes per resolution",
-            ("result",),
-        ).labels(result=cache_outcome).inc()
-        end = max(
-            [child.end for child in span.children if child.end is not None]
-            + [span.start]
-        )
-        telemetry.tracer.finish_span(span, at=end)
+        metrics = self.telemetry.instruments
+        metrics.resolver_queries.labels().inc()
+        metrics.resolutions.labels(rcode).inc()
+        metrics.resolver_cache.labels(str(span.attributes.get("cache", "miss"))).inc()
+        self._finish_resolve_span(span)
 
     # -- internals ---------------------------------------------------------------
 
@@ -536,7 +504,6 @@ class RecursiveResolver:
         telemetry = self.telemetry
         costs = telemetry.costs
         costs_on = costs.enabled
-        record_exchanges = self.record_exchanges
         question_tail = QUESTION_TAIL_STRUCT.pack(int(qtype), int(RRClass.IN))
         # Failed attempts wait out the full timeout before the next try:
         # attempt N's span starts at now + N×timeout, so serialized
@@ -580,29 +547,11 @@ class RecursiveResolver:
                     )
                 except Exception:
                     # Host gone (withdrawn mid-measurement): a timeout to us.
-                    result.attempts += 1
-                    if record_exchanges:
-                        if costs_on:
-                            costs.count("exchange_record")
-                        result.exchanges.append(
-                            ExchangeRecord(address, None, True, "")
-                        )
-                    self.selector.on_timeout(
-                        address, addresses, self.infra_cache, now
-                    )
+                    self._book_failure(result, address, addresses, now)
                     outcome = "unreachable"
                     continue
                 if trip.lost or trip.response is None:
-                    result.attempts += 1
-                    if record_exchanges:
-                        if costs_on:
-                            costs.count("exchange_record")
-                        result.exchanges.append(
-                            ExchangeRecord(address, None, True, "")
-                        )
-                    self.selector.on_timeout(
-                        address, addresses, self.infra_cache, now
-                    )
+                    self._book_failure(result, address, addresses, now)
                     outcome = "timeout"
                     continue
                 if costs_on:
@@ -610,16 +559,7 @@ class RecursiveResolver:
                 try:
                     message = self._response_memo.decode(trip.response, send_name)
                 except Exception:
-                    result.attempts += 1
-                    if record_exchanges:
-                        if costs_on:
-                            costs.count("exchange_record")
-                        result.exchanges.append(
-                            ExchangeRecord(address, None, True, "")
-                        )
-                    self.selector.on_timeout(
-                        address, addresses, self.infra_cache, now
-                    )
+                    self._book_failure(result, address, addresses, now)
                     outcome = "garbled"
                     continue
                 if message.msg_id != msg_id:
@@ -627,16 +567,7 @@ class RecursiveResolver:
                     # so the attempt failed exactly like a garbled one —
                     # the selector must learn it and the attempt must be
                     # booked on the result.
-                    result.attempts += 1
-                    if record_exchanges:
-                        if costs_on:
-                            costs.count("exchange_record")
-                        result.exchanges.append(
-                            ExchangeRecord(address, None, True, "")
-                        )
-                    self.selector.on_timeout(
-                        address, addresses, self.infra_cache, now
-                    )
+                    self._book_failure(result, address, addresses, now)
                     outcome = "id_mismatch"
                     continue
                 if self.case_randomization and message.questions:
@@ -646,13 +577,7 @@ class RecursiveResolver:
                         self.spoofs_rejected += 1
                         outcome = "spoof_rejected"
                         continue
-                result.attempts += 1
-                if record_exchanges:
-                    if costs_on:
-                        costs.count("exchange_record")
-                    result.exchanges.append(
-                        ExchangeRecord(address, trip.rtt_ms, False, trip.served_by)
-                    )
+                self._book_attempt(result, address, trip.rtt_ms, trip.served_by)
                 self.selector.on_response(
                     address, trip.rtt_ms, addresses, self.infra_cache, now
                 )
@@ -670,14 +595,42 @@ class RecursiveResolver:
                     else:
                         end = attempt_at + self.timeout_ms / 1000.0
                     telemetry.tracer.finish_span(span, at=end)
-                    telemetry.registry.counter(
-                        "resolver_exchanges_total",
-                        "exchange attempts against authoritatives, by outcome",
-                        ("outcome",),
-                    ).labels(outcome=outcome).inc()
+                    telemetry.instruments.exchanges.labels(outcome).inc()
                 if outcome != "ok":
                     waited_s += self.timeout_ms / 1000.0
         return None
+
+    def _book_attempt(
+        self,
+        result: ResolutionResult,
+        address: str,
+        rtt_ms: float | None = None,
+        served_by: str = "",
+    ) -> None:
+        """Count one finished exchange attempt (``rtt_ms=None``: failed).
+
+        The :class:`ExchangeRecord` is built only when the resolver was
+        asked to record exchanges; both engines book through here.
+        """
+        result.attempts += 1
+        if self.record_exchanges:
+            costs = self.telemetry.costs
+            if costs.enabled:
+                costs.count("exchange_record")
+            result.exchanges.append(
+                ExchangeRecord(address, rtt_ms, rtt_ms is None, served_by)
+            )
+
+    def _book_failure(
+        self,
+        result: ResolutionResult,
+        address: str,
+        addresses: list[str],
+        now: float,
+    ) -> None:
+        """Book a failed attempt and let the selector learn the timeout."""
+        self._book_attempt(result, address)
+        self.selector.on_timeout(address, addresses, self.infra_cache, now)
 
     def _referral_cut(self, message: Message) -> Name | None:
         """The delegation point named by a referral's authority NS set."""
@@ -950,17 +903,8 @@ class _EventResolution:
         if outcome != "spoof_rejected":
             # Spoof rejections mirror the synchronous path: counted on
             # the resolver, no exchange record, no selector feedback.
-            self.result.attempts += 1
-            if resolver.record_exchanges:
-                costs = resolver.telemetry.costs
-                if costs.enabled:
-                    costs.count("exchange_record")
-                self.result.exchanges.append(
-                    ExchangeRecord(self.address, None, True, "")
-                )
-            resolver.selector.on_timeout(
-                self.address, self.addresses, resolver.infra_cache,
-                self.kernel.now,
+            resolver._book_failure(
+                self.result, self.address, self.addresses, self.kernel.now
             )
         self._finish_exchange_span(outcome, None)
         self.attempt += 1
@@ -993,14 +937,9 @@ class _EventResolution:
                 self._attempt_failed("spoof_rejected")
                 return
         now = self.kernel.now
-        self.result.attempts += 1
-        if resolver.record_exchanges:
-            costs = resolver.telemetry.costs
-            if costs.enabled:
-                costs.count("exchange_record")
-            self.result.exchanges.append(
-                ExchangeRecord(self.address, trip.rtt_ms, False, trip.served_by)
-            )
+        resolver._book_attempt(
+            self.result, self.address, trip.rtt_ms, trip.served_by
+        )
         resolver.selector.on_response(
             self.address, trip.rtt_ms, self.addresses, resolver.infra_cache, now
         )
@@ -1140,11 +1079,7 @@ class _EventResolution:
         else:
             end = self.send_time + self.resolver.timeout_ms / 1000.0
         telemetry.tracer.finish_span(span, at=end)
-        telemetry.registry.counter(
-            "resolver_exchanges_total",
-            "exchange attempts against authoritatives, by outcome",
-            ("outcome",),
-        ).labels(outcome=outcome).inc()
+        telemetry.instruments.exchanges.labels(outcome).inc()
 
     def _complete(self) -> None:
         resolver = self.resolver

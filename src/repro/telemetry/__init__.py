@@ -103,6 +103,7 @@ from .registry import (
     NullRegistry,
     Sample,
 )
+from .instruments import Instruments
 from .sketch import EXPORTED_QUANTILES, P2Quantile, quantile_from_buckets
 from .tracing import NULL_SPAN, NullTracer, Span, SpanEvent, Tracer, render_trace
 
@@ -123,6 +124,7 @@ class Telemetry:
         "costs",
         "sampler",
         "alloc",
+        "instruments",
         "enabled",
     )
 
@@ -143,12 +145,15 @@ class Telemetry:
         self.costs = costs if costs is not None else NULL_COSTS
         self.sampler = sampler if sampler is not None else NULL_SAMPLER
         self.alloc = alloc if alloc is not None else NULL_ALLOC
-        #: cached flag hot paths guard on (any *simulated-system* pillar
-        #: live?).  Deliberately excludes the cost ledger, sampler, and
-        #: allocation observatory: those measure the simulator and must
-        #: leave the telemetry-off fast paths (response templates, the
-        #: no-span round trip) in place — instrumented sites guard on
-        #: ``telemetry.costs.enabled`` separately.
+        #: the registry's hot-path metric families, pre-bound
+        self.instruments = Instruments(registry)
+        #: cached flag hot paths guard their recording on (any
+        #: *simulated-system* pillar live?).  It gates recording only,
+        #: never which code path runs: traced and untraced runs take the
+        #: same fast paths (response templates included).  The cost
+        #: ledger, sampler, and allocation observatory are left out —
+        #: instrumented sites guard on ``telemetry.costs.enabled``
+        #: separately.
         self.enabled = bool(registry.enabled or tracer.enabled)
 
     @classmethod
@@ -173,8 +178,8 @@ class Telemetry:
         ``costs=True`` attaches a deterministic :class:`CostLedger`;
         ``sampling`` names a :class:`SamplingProfiler` mode (``"trace"``
         or ``"sample"``); ``profile_alloc=True`` attaches the
-        allocation observatory.  None of the three flips ``enabled`` —
-        they observe the simulator without disturbing its fast paths.
+        allocation observatory.  None of the three flips ``enabled``;
+        no pillar changes which code paths the simulator runs.
         """
         if event_log is None:
             sink = NULL_EVENT_SINK
@@ -281,6 +286,7 @@ __all__ = [
     "FaultWindow",
     "Gauge",
     "Histogram",
+    "Instruments",
     "ManualClock",
     "MetricError",
     "MetricsRegistry",

@@ -16,11 +16,12 @@ RNG, cache, and fault operations one observation costs today, while the
 sampling profiler (``repro.telemetry.profiling``) tells you how much
 *time* each subsystem spends on them.
 
-Hot-path discipline: the ledger is deliberately **not** part of
-``Telemetry.enabled`` — the server/network fast paths stay live during a
-costs-only run (that is the point: measure the fast path, don't disable
-it).  Instrumented sites hoist ``costs = telemetry.costs`` and guard on
-``costs.enabled`` once, so a disabled run pays one attribute check.
+Hot-path discipline: the ledger is **not** part of ``Telemetry.enabled``
+and, like every observer, changes no code path — a costed run, traced
+or not, bills the operations a bare run performs (that is the point:
+measure the fast path, don't disable it).  Instrumented sites hoist
+``costs = telemetry.costs`` and guard on ``costs.enabled`` once, so a
+disabled run pays one attribute check.
 """
 
 from __future__ import annotations

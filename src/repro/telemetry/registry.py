@@ -320,6 +320,46 @@ class Histogram(_Family):
         )
 
 
+class MetricHandle:
+    """One family bound once, with a positional, memoised child lookup.
+
+    Hot paths hold a handle instead of calling
+    ``registry.counter(name, help, labelnames).labels(**kw)`` per event:
+    ``handle.labels(*values)`` takes the label values in ``labelnames``
+    order and costs one dict probe once a combination has been seen.
+    The family is registered on the first lookup, not when the handle
+    is made, so a run's metric set still lists only the families that
+    something touched.  Label values are the registry's keys: pass
+    strings.
+    """
+
+    __slots__ = ("_registry", "_cls", "name", "help", "labelnames", "_children")
+
+    def __init__(self, registry: "MetricsRegistry", cls, name: str,
+                 help: str, labelnames: tuple[str, ...]):
+        self._registry = registry
+        self._cls = cls
+        self.name = name
+        self.help = help
+        self.labelnames = tuple(labelnames)
+        self._children: dict[tuple, object] = {}
+
+    def labels(self, *labelvalues: str):
+        child = self._children.get(labelvalues)
+        if child is None:
+            if len(labelvalues) != len(self.labelnames):
+                raise MetricError(
+                    f"{self.name}: expected labels {self.labelnames}, "
+                    f"got {len(labelvalues)} values"
+                )
+            family = self._registry._get_or_create(
+                self._cls, self.name, self.help, self.labelnames
+            )
+            child = family.labels(**dict(zip(self.labelnames, labelvalues)))
+            self._children[labelvalues] = child
+        return child
+
+
 @dataclass(frozen=True)
 class Sample:
     """One exported time-series point."""
@@ -376,6 +416,14 @@ class MetricsRegistry:
         return self._get_or_create(
             Histogram, name, help, labelnames, buckets=buckets
         )
+
+    def handle(
+        self, kind: str, name: str, help: str = "",
+        labelnames: tuple[str, ...] = (),
+    ) -> MetricHandle:
+        """A :class:`MetricHandle` on a ``"counter"``, ``"gauge"`` or
+        ``"histogram"`` (default buckets) family."""
+        return MetricHandle(self, _KINDS[kind], name, help, labelnames)
 
     # -- merging -----------------------------------------------------------
 
@@ -528,6 +576,9 @@ class MetricsRegistry:
         return out
 
 
+_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
+
+
 class _NullChild:
     """Absorbs every instrument operation."""
 
@@ -556,7 +607,7 @@ class _NullChild:
     def quantiles(self, qs=EXPORTED_QUANTILES) -> dict:
         return {q: math.nan for q in qs}
 
-    def labels(self, **labelvalues):
+    def labels(self, *labelvalues, **named):
         return self
 
 
@@ -582,6 +633,9 @@ class NullRegistry:
     def histogram(
         self, name: str, help: str = "", labelnames=(), buckets=()
     ) -> _NullChild:
+        return _NULL_CHILD
+
+    def handle(self, kind: str, name: str, help: str = "", labelnames=()) -> _NullChild:
         return _NULL_CHILD
 
     def get(self, name: str) -> None:
@@ -615,6 +669,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricError",
+    "MetricHandle",
     "MetricsRegistry",
     "NullRegistry",
     "Sample",

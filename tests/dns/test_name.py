@@ -9,7 +9,7 @@ from repro.dns.errors import (
     NameError_,
     TruncatedMessageError,
 )
-from repro.dns.name import MAX_LABEL_LENGTH, ROOT, Name
+from repro.dns.name import MAX_LABEL_LENGTH, ROOT, Name, _escape_label
 
 
 class TestFromText:
@@ -240,3 +240,35 @@ class TestProperties:
         encoded = name.to_wire(compress, len(prefix))
         decoded, _ = Name.from_wire(prefix + encoded, len(prefix))
         assert decoded == name
+
+
+printable_label = st.text(
+    alphabet=st.characters(min_codepoint=0x21, max_codepoint=0x7E),
+    max_size=63,
+).map(str.encode)
+
+
+def per_label_text(name: Name) -> str:
+    """``to_text`` spelled out with the per-byte escaper alone."""
+    return "".join(_escape_label(label) + "." for label in name.labels) or "."
+
+
+class TestToTextShortcut:
+    """``to_text``'s all-plain-bytes shortcut agrees with the per-byte escaper."""
+
+    def test_every_single_byte_label(self):
+        for byte in range(256):
+            name = Name([bytes([byte])])
+            assert name.to_text() == per_label_text(name), byte
+
+    @given(st.one_of(st.binary(min_size=1, max_size=63), printable_label))
+    def test_random_labels(self, label):
+        name = Name([label]) if label else ROOT
+        assert name.to_text() == per_label_text(name)
+
+    @given(st.one_of(
+        name_strategy,
+        st.builds(Name, st.lists(printable_label.filter(bool), max_size=3)),
+    ))
+    def test_random_names(self, name):
+        assert name.to_text() == per_label_text(name)

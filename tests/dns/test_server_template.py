@@ -1,6 +1,8 @@
 """Response-template cache: byte-identity with the slow path, and
 invalidation on every zone-mutation route (add, UPDATE, AXFR reload)."""
 
+import pytest
+
 from repro.dns import (
     AuthoritativeServer,
     Message,
@@ -171,21 +173,64 @@ def slow_server_pair(server: AuthoritativeServer, query: Message) -> bytes:
     return server.handle_wire(query.to_wire())
 
 
-def test_rate_limited_or_telemetry_servers_skip_the_fast_path():
+def test_rate_limited_servers_skip_the_fast_path():
     from repro.dns.rrl import ResponseRateLimiter
 
     zone = build_zone()
     limited = AuthoritativeServer("site-a", [zone], rate_limiter=ResponseRateLimiter())
-    traced = AuthoritativeServer(
-        "site-a", [zone], telemetry=Telemetry.enabled_bundle()
-    )
     wire = Message.make_query(
         "m-6-6.probe.example.org.", RRType.TXT, msg_id=9
     ).to_wire()
-    for server in (limited, traced):
-        server.handle_wire(wire)
-        server.handle_wire(wire)
-        assert not server._templates
+    limited.handle_wire(wire)
+    limited.handle_wire(wire)
+    assert not limited._templates
+
+
+def _span_view(tracer):
+    return [
+        (span.name, span.span_id, span.start, span.end, dict(span.attributes))
+        for span in tracer.iter_spans()
+    ]
+
+
+@pytest.mark.parametrize("tracing", [True, False])
+def test_traced_servers_take_the_fast_path_and_record_the_same(tracing):
+    """A traced server answers from templates, and each hit records the
+    span, counters, stats and query log the slow path records."""
+    zone = build_zone()
+    bundles = [
+        Telemetry.enabled_bundle(tracing=tracing, costs=True) for _ in range(2)
+    ]
+    # A small query log, so the eviction counter is exercised too.
+    fast, slow = (
+        AuthoritativeServer("site-a", [zone], telemetry=bundle, query_log_max=8)
+        for bundle in bundles
+    )
+    slow._parse_fast_query = lambda wire: None  # type: ignore[method-assign]
+    for index, query in enumerate(queries()):
+        wire = query.to_wire()
+        at = 100.0 + index / 8
+        assert fast.handle_wire(wire, client="192.0.2.7", now=at) == (
+            slow.handle_wire(wire, client="192.0.2.7", now=at)
+        )
+    assert fast._templates
+    assert bundles[0].costs.totals()["template_hit"] >= 28
+    assert "template_hit" not in bundles[1].costs.totals()
+    assert fast.stats == slow.stats
+    assert list(fast.query_log) == list(slow.query_log)
+    assert fast.query_log.dropped == slow.query_log.dropped > 0
+    fast_metrics, slow_metrics = (b.registry.as_dict() for b in bundles)
+    assert fast_metrics == slow_metrics
+    for family in (
+        "authoritative_queries_total",
+        "authoritative_responses_total",
+        "authoritative_query_log_dropped_total",
+    ):
+        assert fast_metrics[family]["samples"]
+    fast_spans, slow_spans = (_span_view(b.tracer) for b in bundles)
+    assert fast_spans == slow_spans
+    if tracing:
+        assert len(fast_spans) == fast.stats.queries
 
 
 def test_queries_for_other_suffixes_refused_identically():

@@ -1,10 +1,10 @@
 """Attempt accounting vs. opt-in exchange recording.
 
 Campaigns only need the attempt *count*; allocating an
-:class:`ExchangeRecord` per attempt is opt-in (``record_exchanges``),
-auto-gated on telemetry/cost-ledger use.  These tests pin that the
-count is always right, that recording stays faithful when enabled, and
-that the cost ledger bills each recorded exchange.
+:class:`ExchangeRecord` per attempt is an explicit opt-in
+(``record_exchanges``) that no observer switches on.  These tests pin
+that the count is always right, that recording stays faithful when
+enabled, and that the cost ledger bills each recorded exchange.
 """
 
 import random
@@ -92,13 +92,18 @@ class TestAttemptCounting:
 
 
 class TestAutoGating:
-    def test_telemetry_enables_recording(self):
-        telemetry = Telemetry.enabled_bundle()
+    """Exchange recording is an explicit opt-in: attaching observers
+    (tracing, metrics, the cost ledger) changes no allocation."""
+
+    def test_observers_leave_recording_off(self):
+        telemetry = Telemetry.enabled_bundle(costs=True)
         network = build_network(telemetry=telemetry)
         resolver = build_resolver(network)
-        assert resolver.record_exchanges is True
+        assert resolver.record_exchanges is False
         result = resolver.resolve("probe.ourtestdomain.nl.", RRType.TXT)
-        assert len(result.exchanges) == result.attempts == 1
+        assert result.exchanges == []
+        assert result.attempts == 1
+        assert "exchange_record" not in telemetry.costs.totals()
 
     def test_explicit_false_overrides_telemetry(self):
         telemetry = Telemetry.enabled_bundle()
@@ -107,6 +112,13 @@ class TestAutoGating:
         result = resolver.resolve("probe.ourtestdomain.nl.", RRType.TXT)
         assert result.exchanges == []
         assert result.attempts == 1
+
+    def test_explicit_opt_in_records_under_telemetry(self):
+        telemetry = Telemetry.enabled_bundle()
+        network = build_network(telemetry=telemetry)
+        resolver = build_resolver(network, record_exchanges=True)
+        result = resolver.resolve("probe.ourtestdomain.nl.", RRType.TXT)
+        assert len(result.exchanges) == result.attempts == 1
 
 
 def costs_telemetry():
@@ -119,7 +131,7 @@ class TestCostAccounting:
     def test_ledger_bills_each_recorded_exchange(self):
         telemetry = costs_telemetry()
         network = build_network(loss_rate=1.0, telemetry=telemetry)
-        resolver = build_resolver(network)
+        resolver = build_resolver(network, record_exchanges=True)
         result = resolver.resolve("probe.ourtestdomain.nl.", RRType.TXT)
         counters = telemetry.costs.totals()
         assert counters["exchange_record"] == len(result.exchanges)

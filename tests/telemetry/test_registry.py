@@ -171,6 +171,51 @@ class TestExporters:
         assert json.loads(registry.to_json()) == {}
 
 
+class TestMetricHandle:
+    def test_registers_its_family_on_first_lookup_only(self):
+        registry = MetricsRegistry()
+        handle = registry.handle(
+            "counter", "responses_total", "responses", ("server", "rcode")
+        )
+        assert "responses_total" not in registry
+        handle.labels("ns1", "NOERROR").inc()
+        handle.labels("ns1", "NOERROR").inc()
+        handle.labels("ns1", "NXDOMAIN").inc()
+        family = registry.get("responses_total")
+        assert family.help == "responses"
+        assert handle.labels("ns1", "NOERROR") is family.labels(
+            server="ns1", rcode="NOERROR"
+        )
+        assert family.value == 3
+
+    def test_matches_the_keyword_path_in_every_export(self):
+        by_handle, by_keyword = MetricsRegistry(), MetricsRegistry()
+        rtt = by_handle.handle("histogram", "rtt_ms", "rtt", ("site",))
+        for value in (3.0, 40.0, 900.0):
+            rtt.labels("FRA").observe(value)
+            by_keyword.histogram("rtt_ms", "rtt", ("site",)).labels(
+                site="FRA"
+            ).observe(value)
+        by_handle.handle("gauge", "depth").labels().set(4)
+        by_keyword.gauge("depth").set(4)
+        assert by_handle.to_json() == by_keyword.to_json()
+        assert by_handle.to_prometheus_text() == by_keyword.to_prometheus_text()
+
+    def test_wrong_arity_and_type_clash_raise(self):
+        registry = MetricsRegistry()
+        handle = registry.handle("counter", "c", "", ("a", "b"))
+        with pytest.raises(MetricError):
+            handle.labels("only-one")
+        registry.gauge("g")
+        with pytest.raises(MetricError):
+            registry.handle("counter", "g").labels()
+
+    def test_null_registry_hands_out_a_no_op(self):
+        child = NullRegistry().handle("counter", "c", "", ("a",)).labels("x")
+        child.inc()
+        assert child.value == 0.0
+
+
 class TestNullRegistry:
     def test_absorbs_everything_and_exports_nothing(self):
         registry = NullRegistry()
